@@ -20,6 +20,15 @@ race:
 chaos-smoke:
 	go test -run='^TestHarness' -count=1 -v ./internal/chaos
 
+# Flake hunt: the timing-sensitive packages (real sockets, worker pools,
+# deadlines, concurrent chains) run 20 times over, so an ordering race that
+# fails one run in tens is caught before merge rather than in tier-1.
+FLAKE_PKGS := ./internal/cran ./internal/shard ./internal/chaos ./internal/dynamic ./internal/portfolio
+
+.PHONY: flake
+flake:
+	go test -count=20 $(FLAKE_PKGS)
+
 # Fuzz smoke: every native fuzz target runs its checked-in corpus
 # (testdata/fuzz/ + f.Add seeds) plus a few seconds of fresh exploration.
 .PHONY: fuzz-smoke
@@ -74,14 +83,15 @@ BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
 # The recorded set covers the perf kernels, solver end-to-end runs, and the
-# coordinator serving path (BenchmarkServe*); the BenchmarkFigure* experiment
-# reproductions are excluded (they are sweeps, not performance probes, and
-# take minutes each).
-PERF_BENCH := ^Benchmark(SystemUtility|KKTAllocation|NeighborhoodMove|Solve|Incremental|Portfolio|Serve|Wire|DeltaEpoch)
+# coordinator serving path (BenchmarkServe*) and RNG stream cost
+# (BenchmarkDerive, BenchmarkDraw in internal/simrand); the BenchmarkFigure*
+# experiment reproductions are excluded (they are sweeps, not performance
+# probes, and take minutes each).
+PERF_BENCH := ^Benchmark(SystemUtility|KKTAllocation|NeighborhoodMove|Solve|Incremental|Portfolio|Serve|Wire|DeltaEpoch|Derive|Draw)
 
 .PHONY: bench
 bench:
-	go test -run='^$$' -bench='$(PERF_BENCH)' -benchmem -benchtime=1s . ./internal/objective ./internal/cran | tee /tmp/tsajs_bench_raw.txt
+	go test -run='^$$' -bench='$(PERF_BENCH)' -benchmem -benchtime=1s . ./internal/objective ./internal/cran ./internal/simrand | tee /tmp/tsajs_bench_raw.txt
 	go run ./cmd/tsajs-bench record -in /tmp/tsajs_bench_raw.txt -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 

@@ -278,8 +278,13 @@ func TestBrownoutDegradesUnderPressure(t *testing.T) {
 	cfg.SolverChaos = &faults.SolverChaos{Seed: 3, DelayProb: 1, Delay: 40 * time.Millisecond}
 	srv := startServer(t, cfg)
 
-	var ps []pending
-	for wave := 0; wave < 5; wave++ {
+	// The worker takes the first epoch before the rest arrive, so the four
+	// that follow fill the queue to its depth without overflowing it.
+	ps := submitWaveAsync(t, srv, waveRequests(0, 2))
+	waitUntil(t, 5*time.Second, "the worker to take the first epoch", func() bool {
+		return srv.Stats().InflightSolves >= 1
+	})
+	for wave := 1; wave < 5; wave++ {
 		ps = append(ps, submitWaveAsync(t, srv, waveRequests(wave, 2))...)
 	}
 	resps := collectWave(t, ps)

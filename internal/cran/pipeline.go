@@ -96,52 +96,57 @@ func (w *solveWorker) loop() {
 	defer s.wg.Done()
 	for eb := range s.solveQ {
 		s.stats.queueDepth.Set(float64(len(s.solveQ)))
-		select {
-		case <-s.quit:
-			s.skipPlan(eb)
-			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
-			continue
-		default:
-		}
-		started := time.Now()
-		if !s.chaosDelay(eb.epoch, started) {
-			s.skipPlan(eb)
-			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
-			continue
-		}
-		// Delta serving: epochs of one chain mutate shared cache state, so
-		// the worker must own the chain for its stamped epoch number before
-		// touching the batch — acquire blocks until every earlier epoch of
-		// the chain was solved or skipped, and advance releases it whatever
-		// happened in between (an expired-empty epoch included).
-		ch := s.deltaChainFor(eb.cell)
-		if ch != nil && !ch.acquire(eb.epoch) {
-			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
-			continue
-		}
-		// Expired requests are answered here, at dequeue, before any solving
-		// starts: a worker is never burned on a solve whose answer could not
-		// arrive in time, and the "no deadline-expired full solves" invariant
-		// is structural rather than raced.
-		eb.dequeued = time.Now()
-		eb.batch = w.expireBatch(eb)
-		if len(eb.batch) == 0 {
-			if ch != nil {
-				ch.advance()
-			}
-			s.skipPlan(eb)
-			s.stats.epochExpired()
-			s.noteServiceTime(started)
-			continue
-		}
 		s.stats.inflight.Add(1)
+		w.serve(eb)
+		s.stats.inflight.Add(-1)
+	}
+}
+
+// serve takes one dequeued epoch to its answers: an injected solver delay,
+// the delta chain hand-off, the expiry filter and the solve.
+func (w *solveWorker) serve(eb epochBatch) {
+	s := w.srv
+	select {
+	case <-s.quit:
+		s.skipPlan(eb)
+		s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
+		return
+	default:
+	}
+	started := time.Now()
+	if !s.chaosDelay(eb.epoch, started) {
+		s.skipPlan(eb)
+		s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
+		return
+	}
+	// Delta serving: epochs of one chain mutate shared cache state, so
+	// the worker must own the chain for its stamped epoch number before
+	// touching the batch — acquire blocks until every earlier epoch of
+	// the chain was solved or skipped, and advance releases it whatever
+	// happened in between (an expired-empty epoch included).
+	ch := s.deltaChainFor(eb.cell)
+	if ch != nil && !ch.acquire(eb.epoch) {
+		s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
+		return
+	}
+	// Expired requests are answered here, at dequeue, before any solving
+	// starts: a worker is never burned on a solve whose answer could not
+	// arrive in time, and the "no deadline-expired full solves" invariant
+	// is structural rather than raced.
+	eb.dequeued = time.Now()
+	eb.batch = w.expireBatch(eb)
+	if len(eb.batch) == 0 {
+		if ch != nil {
+			ch.advance()
+		}
+		s.skipPlan(eb)
+	} else {
 		w.solveEpochSafe(eb)
 		if ch != nil {
 			ch.advance()
 		}
-		s.stats.inflight.Add(-1)
-		s.noteServiceTime(started)
 	}
+	s.noteServiceTime(started)
 }
 
 // chaosDelay sleeps the injected slow-solver delay for the epoch, if any,
@@ -172,25 +177,36 @@ func (s *Server) noteServiceTime(started time.Time) {
 
 // expireBatch answers every request whose deadline passed while the epoch
 // waited in the solve queue (CodeExpired) and returns the still-live
-// remainder, filtered in place.
+// remainder, filtered in place. An epoch with no live request left is
+// counted expired before any of its answers go out.
 func (w *solveWorker) expireBatch(eb epochBatch) []pending {
-	live := eb.batch[:0]
+	expired := func(p *pending) bool {
+		return !p.deadline.IsZero() && eb.dequeued.After(p.deadline)
+	}
+	live := 0
+	for i := range eb.batch {
+		if !expired(&eb.batch[i]) {
+			live++
+		}
+	}
+	if live == 0 {
+		w.srv.stats.epochExpired()
+	}
+	kept := eb.batch[:0]
 	for i := range eb.batch {
 		p := &eb.batch[i]
-		if !p.deadline.IsZero() && eb.dequeued.After(p.deadline) {
-			if w.srv.reply(p, OffloadResponse{
+		if expired(p) {
+			w.srv.shed(p, OffloadResponse{
 				Version: ProtocolVersion,
 				UserID:  p.req.UserID,
 				Error:   ErrDeadlineExceeded.Error(),
 				Code:    CodeExpired,
-			}) {
-				w.srv.stats.requestShed(CodeExpired)
-			}
+			})
 			continue
 		}
-		live = append(live, *p)
+		kept = append(kept, *p)
 	}
-	return live
+	return kept
 }
 
 // solveEpochSafe confines a panic in the scheduling path to the epoch that
@@ -397,7 +413,7 @@ var respEncoders = sync.Pool{New: func() any {
 }}
 
 // writeJSON encodes resp as one newline-terminated JSON line and writes it
-// to conn using a pooled buffer, counting the write in the wire metrics.
+// to conn using a pooled buffer, counting the line in the wire metrics.
 func (s *Server) writeJSON(conn net.Conn, resp OffloadResponse) error {
 	e := respEncoders.Get().(*respEncoder)
 	e.buf.Reset()
@@ -405,10 +421,10 @@ func (s *Server) writeJSON(conn net.Conn, resp OffloadResponse) error {
 		respEncoders.Put(e)
 		return err
 	}
-	n, err := conn.Write(e.buf.Bytes())
+	// Counted before the write, so the client can never read a line the
+	// wire counters do not yet include (DESIGN.md §10).
+	s.stats.frameWritten(false, e.buf.Len())
+	_, err := conn.Write(e.buf.Bytes())
 	respEncoders.Put(e)
-	if err == nil {
-		s.stats.frameWritten(false, n)
-	}
 	return err
 }

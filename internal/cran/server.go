@@ -897,28 +897,47 @@ func (s *Server) commitPlan(eb epochBatch, outcomes []solver.MemberOutcome) {
 func (s *Server) failBatch(batch []pending, code, msg string) {
 	for i := range batch {
 		p := &batch[i]
-		if s.reply(p, OffloadResponse{Version: ProtocolVersion, UserID: p.req.UserID, Error: msg, Code: code}) {
-			s.stats.requestShed(code)
-		}
+		s.shed(p, OffloadResponse{Version: ProtocolVersion, UserID: p.req.UserID, Error: msg, Code: code})
+	}
+}
+
+// shed answers p with a typed rejection at most once, counting it before
+// the answer can reach the client.
+func (s *Server) shed(p *pending, resp OffloadResponse) {
+	if s.claim(p) {
+		s.stats.requestShed(resp.Code)
+		s.deliver(p, resp)
 	}
 }
 
 // reply delivers a response at most once and never blocks: the answered CAS
 // targets the batch slot itself, so if a recovered panic left part of a
 // batch already answered, failBatch neither double-sends nor double-counts.
-// It reports whether this call delivered the answer.
-func (s *Server) reply(p *pending, resp OffloadResponse) bool {
+func (s *Server) reply(p *pending, resp OffloadResponse) {
+	if s.claim(p) {
+		s.deliver(p, resp)
+	}
+}
+
+// claim takes the right to answer p, at most once per request. Every
+// counter the answer settles is updated between claim and deliver, so a
+// client that has read its reply sees them (DESIGN.md §10).
+func (s *Server) claim(p *pending) bool {
 	if !atomic.CompareAndSwapUint32(&p.answered, 0, 1) {
 		return false
 	}
 	s.stats.inflightReqs.Add(-1)
+	return true
+}
+
+// deliver hands a claimed answer to its connection without blocking.
+func (s *Server) deliver(p *pending, resp OffloadResponse) {
 	if p.sink != nil {
 		p.sink.send(p.sinkID, &resp)
-		return true
+		return
 	}
 	select {
 	case p.reply <- resp:
 	default:
 	}
-	return true
 }

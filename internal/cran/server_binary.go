@@ -106,15 +106,17 @@ func (w *binWriter) loop() {
 }
 
 // write puts one frame on the wire and recycles its buffer; a write error
-// kills the writer.
+// kills the writer. The frame is counted before the write, so the client
+// can never read a frame the wire counters do not yet include (DESIGN.md
+// §10).
 func (w *binWriter) write(f *frameBuf) bool {
-	n, err := w.conn.Write(f.b)
+	w.srv.stats.frameWritten(true, len(f.b))
+	_, err := w.conn.Write(f.b)
 	framePool.Put(f)
 	if err != nil {
 		w.kill()
 		return false
 	}
-	w.srv.stats.frameWritten(true, n)
 	return true
 }
 

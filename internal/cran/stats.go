@@ -44,7 +44,9 @@ type Stats struct {
 	// QueueDepth is the solve queue's depth when last sampled (batches
 	// collected but not yet picked up by a solver worker).
 	QueueDepth int `json:"queueDepth"`
-	// InflightSolves is the number of epoch solves executing right now.
+	// InflightSolves is the number of epochs solver workers hold right now:
+	// taken off the solve queue and not yet finished, an injected solver
+	// delay included.
 	InflightSolves int `json:"inflightSolves"`
 	// SolverWorkers is the configured solver worker count.
 	SolverWorkers int `json:"solverWorkers"`
@@ -211,7 +213,7 @@ func newStatsCollector(reg *obs.Registry) *statsCollector {
 		queueDepth: reg.Gauge("tsajs_coordinator_queue_depth",
 			"Epoch batches waiting in the solve queue, last sampled."),
 		inflight: reg.Gauge("tsajs_coordinator_inflight_solves",
-			"Epoch solves currently executing on solver workers."),
+			"Epochs solver workers hold right now (dequeued, not yet finished)."),
 		workers: reg.Gauge("tsajs_coordinator_solver_workers",
 			"Configured solver worker count."),
 		epochLatency: reg.Histogram("tsajs_coordinator_epoch_latency_seconds",

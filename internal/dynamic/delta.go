@@ -129,8 +129,9 @@ func runDelta(cfg Config) (*Result, error) {
 			// this epoch's derived streams without touching the row cache
 			// or tracker, keeping later epochs threshold-independent.
 			gain := radio.NewTensorBuffer(len(active), cfg.Params.NumServers, cfg.Params.NumChannels)
+			epochRadio := radioRNG.Derive(uint64(epoch))
 			for i, u := range active {
-				rng := radioRNG.Derive(uint64(epoch)).Derive(uint64(u))
+				rng := epochRadio.Derive(uint64(u))
 				if err := gain.RefreshUser(cfg.Params.PathLoss, i, positions[i], sites, rng); err != nil {
 					return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 				}
@@ -191,9 +192,10 @@ func runDelta(cfg Config) (*Result, error) {
 				refresh[i] = true
 			}
 		}
+		epochRadio := radioRNG.Derive(uint64(epoch))
 		for i, u := range active {
 			if refresh[i] {
-				rng := radioRNG.Derive(uint64(epoch)).Derive(uint64(u))
+				rng := epochRadio.Derive(uint64(u))
 				if err := gain.RefreshUser(cfg.Params.PathLoss, i, positions[i], sites, rng); err != nil {
 					return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 				}

@@ -7,6 +7,16 @@
 // for independent trials are derived with Derive, which mixes the parent
 // seed with a label using SplitMix64 so that trial i of experiment A never
 // shares a stream with trial i of experiment B.
+//
+// A Source's output equals math/rand v1's, bit for bit:
+// New(seed) draws exactly what rand.New(rand.NewSource(int64(m))) draws,
+// where m is seed mixed once by SplitMix64. Only the cost of seeding
+// differs. math/rand seeds its 607-word register up front through 1,841
+// sequential LCG steps; here the generator is built on a Source's first
+// draw, and each register word is computed from the seed by LCG
+// jump-ahead when a draw first reads it (see rng.go). A Source used only
+// to Derive children is a single small allocation, and a stream that
+// makes k draws seeds about 2k words instead of 607.
 package simrand
 
 import (
@@ -16,19 +26,55 @@ import (
 
 // Source is a deterministic random source with the distribution helpers the
 // simulator needs. It wraps math/rand with an explicit seed so it can be
-// derived and replayed.
+// derived and replayed. A Source is not safe for concurrent draws; Derive
+// only reads the seed.
 type Source struct {
-	rng  *rand.Rand
-	seed uint64
+	rng   *rand.Rand // where draws go: &first while seeding, then &gen.plain
+	first rand.Rand  // math/rand's helpers over seedingDraws
+	gen   *generator // built on the first draw
+	seed  uint64
+}
+
+// generator is a Source's register, allocated on its first draw, with
+// math/rand's helpers drawing straight from it once it is fully seeded.
+type generator struct {
+	plain rand.Rand
+	src   lazySource
 }
 
 // New returns a Source seeded with seed.
 func New(seed uint64) *Source {
-	return &Source{
-		rng:  rand.New(rand.NewSource(int64(splitMix64(seed)))),
-		seed: seed,
-	}
+	s := &Source{seed: seed}
+	s.first = *rand.New((*seedingDraws)(s))
+	s.rng = &s.first
+	return s
 }
+
+// seedingDraws is the rand.Source a Source's first draws come from. It
+// builds the generator on the first draw and draws from the lazily seeded
+// register; once every word is seeded it points the Source at the plain
+// view, so steady-state draws cost what math/rand's own source costs.
+type seedingDraws Source
+
+func (d *seedingDraws) Uint64() uint64 {
+	g := d.gen
+	if g == nil {
+		g = new(generator)
+		g.src.Seed(int64(splitMix64(d.seed)))
+		g.plain = *rand.New(&g.src.register)
+		d.gen = g
+	}
+	x := g.src.Uint64()
+	if g.src.unseeded == 0 {
+		d.rng = &g.plain
+	}
+	return x
+}
+
+func (d *seedingDraws) Int63() int64 { return int64(d.Uint64() & rngMask) }
+
+// Seed is never called: a Source never reseeds its rand.Rand.
+func (d *seedingDraws) Seed(int64) { panic("simrand: a Source cannot be reseeded") }
 
 // Seed returns the seed this source was created from.
 func (s *Source) Seed() uint64 { return s.seed }
