@@ -567,28 +567,12 @@ func BenchmarkCoordinatorRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalTTSA compares the full TTSA solve with and without
-// the delta evaluator (Config.Incremental), and measures the steady-state
-// Preview/Accept path in isolation — the latter must report 0 allocs/op
-// (all scratch is owned by the Incremental and reused across calls).
+// BenchmarkIncrementalTTSA measures the full TTSA solve, whose walk prices
+// every candidate incrementally, and the walk's steady-state
+// Preview/Accept step in isolation — the latter must report 0 allocs/op
+// (all scratch lives in the Evaluator and is reused across calls).
 func BenchmarkIncrementalTTSA(b *testing.B) {
-	for _, variant := range []struct {
-		name        string
-		incremental bool
-	}{
-		{name: "full", incremental: false},
-		{name: "incremental", incremental: true},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Incremental = variant.incremental
-			ts, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			solverBench(b, ts, 50)
-		})
-	}
+	b.Run("full", func(b *testing.B) { solverBench(b, core.NewDefault(), 50) })
 	b.Run("preview", func(b *testing.B) {
 		sc := benchScenario(b, 50)
 		rng := simrand.New(5)
@@ -596,23 +580,18 @@ func BenchmarkIncrementalTTSA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inc := objective.NewIncremental(sc, cur)
+		inc := objective.New(sc).Track(cur)
 		moves := core.NeighborhoodFor(core.DefaultConfig())
-		cand := cur.Clone()
-		// Warm the reusable scratch (first Preview may size pool buffers).
-		moves.Apply(cand, rng)
-		inc.Preview(cand)
-		inc.Accept(cand)
+		var undo core.Undo
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			moves.Apply(cand, rng)
-			if inc.Preview(cand) > inc.Utility() {
-				inc.Accept(cand)
-			} else if err := cand.CopyFrom(cur); err != nil {
-				b.Fatal(err)
+			if !moves.ApplyUndo(cur, rng, &undo) {
+				continue
 			}
-			if err := cur.CopyFrom(cand); err != nil {
+			if inc.Preview(cur, undo.Users()...) > inc.Utility() {
+				inc.Accept(cur)
+			} else if err := undo.Revert(cur); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,11 +5,13 @@
 //	go test -run='^$' -bench=. -benchmem . | tsajs-bench record -o BENCH_20260806.json
 //	tsajs-bench compare -baseline results/bench/BENCH_baseline.json -current /tmp/run.json
 //
-// record parses `go test -bench` output (stdin or -in) into a JSON report;
-// compare diffs two reports and exits nonzero when the current run has
-// regressed beyond the thresholds — slower than -time-threshold allows,
-// any allocation growth in allocation-free kernels, or a drop in solver
-// utility. This is the machine check behind `make bench-check`.
+// record parses `go test -bench` output (stdin or -in) into a JSON report
+// stamped with the recording environment (nproc, GOMAXPROCS, Go version,
+// commit); compare diffs two reports, ignoring the environment, and exits
+// nonzero when the current run has regressed beyond the thresholds —
+// slower than -time-threshold allows, any allocation growth in
+// allocation-free kernels, or a drop in solver utility. This is the
+// machine check behind `make bench-check`.
 package main
 
 import (
@@ -73,6 +75,7 @@ func runRecord(args []string, stdin io.Reader, stdout io.Writer) error {
 		rep.Date = time.Now().Format("2006-01-02")
 	}
 	rep.Notes = *notes
+	rep.RecordEnvironment()
 
 	dst := stdout
 	if *out != "" {

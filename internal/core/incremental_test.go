@@ -6,14 +6,15 @@ import (
 
 	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/objective"
 	"github.com/tsajs/tsajs/internal/simrand"
 	"github.com/tsajs/tsajs/internal/solver"
 )
 
-// TestIncrementalModeNearIdentical: the incremental evaluator computes the
-// same objective up to floating-point summation order, so an incremental
-// run must stay feasible and land within noise of the standard run; on
-// tiny instances both must find the exhaustive optimum.
+// TestIncrementalModeNearIdentical: the default walk prices candidates
+// incrementally, so on tiny instances it must return bit for bit what the
+// walk priced by full evaluation returns, and both must find the
+// exhaustive optimum.
 func TestIncrementalModeNearIdentical(t *testing.T) {
 	ex := &baseline.Exhaustive{}
 	for _, seed := range []uint64{1, 2, 3} {
@@ -22,65 +23,54 @@ func TestIncrementalModeNearIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Incremental = true
-		ts, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ts.Schedule(sc, simrand.New(seed))
+		res, err := core.NewDefault().Schedule(sc, simrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := solver.Verify(sc, res); err != nil {
 			t.Fatal(err)
 		}
+		best, utility, evaluations := core.ReferenceSchedule(t, core.DefaultConfig(), sc, simrand.New(seed))
+		if !res.Assignment.Equal(best) || math.Float64bits(res.Utility) != math.Float64bits(utility) ||
+			res.Evaluations != evaluations {
+			t.Fatalf("seed %d: walk (%.17g, %d evaluations) differs from the fully priced walk (%.17g, %d)",
+				seed, res.Utility, res.Evaluations, utility, evaluations)
+		}
 		if res.Utility > opt.Utility+1e-9 {
-			t.Fatalf("seed %d: incremental TTSA %.9f beats the optimum %.9f — delta evaluation is wrong",
+			t.Fatalf("seed %d: TTSA %.9f beats the optimum %.9f — pricing is wrong",
 				seed, res.Utility, opt.Utility)
 		}
 		if opt.Utility > 0 && res.Utility < 0.98*opt.Utility {
-			t.Errorf("seed %d: incremental TTSA %.6f below 98%% of optimum %.6f",
+			t.Errorf("seed %d: TTSA %.6f below 98%% of optimum %.6f",
 				seed, res.Utility, opt.Utility)
 		}
 	}
 }
 
-// TestIncrementalResultUtilityConsistent: the Result's utility (recomputed
-// by solver.Finish with the full evaluator) must match the decision — the
-// delta path cannot drift away from the true objective.
+// TestIncrementalResultUtilityConsistent: the utility the walk tracked
+// for its best decision must be exactly the Result's utility, which
+// solver.Finish recomputes with a full evaluation — the incremental cache
+// cannot drift away from the true objective.
 func TestIncrementalResultUtilityConsistent(t *testing.T) {
 	sc := tinyScenarioWithUsers(t, 83, 14)
-	cfg := core.DefaultConfig()
-	cfg.Incremental = true
-	ts, err := core.New(cfg)
+	res, trace, err := core.NewDefault().ScheduleTrace(sc, simrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ts.Schedule(sc, simrand.New(5))
-	if err != nil {
-		t.Fatal(err)
+	last := trace[len(trace)-1]
+	if math.Float64bits(last.Best) != math.Float64bits(res.Utility) {
+		t.Errorf("tracked best %.17g, recomputed %.17g", last.Best, res.Utility)
 	}
-	// Finish recomputes with the full evaluator; a drifting cache would
-	// have selected a "best" whose true utility is worse than an earlier
-	// candidate's — detectable as the standard run beating it by a wide
-	// margin on the same seed.
-	std, err := core.NewDefault().Schedule(sc, simrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Utility-std.Utility) > 0.05*(1+math.Abs(std.Utility)) {
-		t.Errorf("incremental %.6f vs standard %.6f on the same seed — more than noise apart",
-			res.Utility, std.Utility)
+	if full := objective.New(sc).SystemUtility(res.Assignment); math.Float64bits(full) != math.Float64bits(res.Utility) {
+		t.Errorf("result utility %.17g, full evaluation %.17g", res.Utility, full)
 	}
 }
 
-// TestIncrementalDeterministic: incremental mode is deterministic in the
-// seed like every other mode.
+// TestIncrementalDeterministic: the incrementally priced walk is
+// deterministic in the seed.
 func TestIncrementalDeterministic(t *testing.T) {
 	sc := tinyScenarioWithUsers(t, 89, 12)
 	cfg := core.DefaultConfig()
-	cfg.Incremental = true
 	cfg.MaxEvaluations = 3000
 	ts, err := core.New(cfg)
 	if err != nil {
@@ -95,6 +85,6 @@ func TestIncrementalDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Utility != b.Utility || !a.Assignment.Equal(b.Assignment) {
-		t.Error("incremental mode not deterministic")
+		t.Error("walk not deterministic")
 	}
 }

@@ -73,28 +73,36 @@ func (n *neighborhood) pick(rng *simrand.Source) moveKind {
 // eviction) degrade to the closest applicable move rather than silently
 // wasting the iteration, mirroring the fallbacks in Algorithm 2.
 func (n *neighborhood) Apply(a *assign.Assignment, rng *simrand.Source) bool {
+	var undo Undo
+	return n.applyUndo(a, rng, &undo)
+}
+
+// applyUndo is Apply recording the prior slots of the users the move
+// touches in undo, so a rejected candidate can be reverted in O(touched).
+func (n *neighborhood) applyUndo(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
+	undo.reset()
 	u := n.pickUser(a, rng)
 	switch n.pick(rng) {
 	case moveServer:
-		return n.relocateServer(a, u, rng)
+		return n.relocateServer(a, u, rng, undo)
 	case moveChannel:
 		if a.Channels() <= 1 || a.IsLocal(u) {
 			// K = 1 or a local target: Algorithm 2's channel branch is
 			// undefined; relocating across servers is the nearest move.
-			return n.relocateServer(a, u, rng)
+			return n.relocateServer(a, u, rng, undo)
 		}
-		return n.relocateChannel(a, u, rng)
+		return n.relocateChannel(a, u, rng, undo)
 	case moveSwap:
-		return n.swap(a, u, rng)
+		return n.swap(a, u, rng, undo)
 	default:
-		return n.toggle(a, u, rng)
+		return n.toggle(a, u, rng, undo)
 	}
 }
 
 // relocateServer implements lines 7–11: move u to a different server,
 // preferring a free subchannel and otherwise (with eviction enabled)
 // displacing a random occupant to local execution.
-func (n *neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	cur, _ := a.SlotOf(u)
 	if a.Servers() == 1 && cur == 0 {
 		return false // nowhere else to go
@@ -103,12 +111,12 @@ func (n *neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.
 	for s == cur {
 		s = rng.Intn(a.Servers())
 	}
-	return n.place(a, u, s, rng)
+	return n.place(a, u, s, rng, undo)
 }
 
 // relocateChannel implements lines 12–15: move u to another subchannel of
 // its current server.
-func (n *neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	s, cur := a.SlotOf(u)
 	j := a.FreeChannel(s, rng.Intn(a.Channels()))
 	if j == assign.Local || j == cur {
@@ -124,13 +132,12 @@ func (n *neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand
 			j = rng.Intn(a.Channels())
 		}
 	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
+	return n.evictInto(a, u, s, j, undo)
 }
 
 // swap implements lines 17–19: exchange the full assignments of u and a
 // second random user.
-func (n *neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	if a.Users() == 1 {
 		return false
 	}
@@ -143,29 +150,41 @@ func (n *neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source) bo
 	if su == assign.Local && sv == assign.Local {
 		return false // swapping two local users changes nothing
 	}
+	undo.note(a, u)
+	undo.note(a, v)
 	a.Swap(u, v)
 	return true
 }
 
 // toggle implements lines 20–21: flip x(u,s,j). An offloaded user goes
 // local; a local user takes a random slot.
-func (n *neighborhood) toggle(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *neighborhood) toggle(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	if !a.IsLocal(u) {
+		undo.note(a, u)
 		a.SetLocal(u)
 		return true
 	}
-	return n.place(a, u, rng.Intn(a.Servers()), rng)
+	return n.place(a, u, rng.Intn(a.Servers()), rng, undo)
 }
 
 // place puts u on server s: on a free subchannel when one exists, otherwise
 // by eviction when enabled.
-func (n *neighborhood) place(a *assign.Assignment, u, s int, rng *simrand.Source) bool {
+func (n *neighborhood) place(a *assign.Assignment, u, s int, rng *simrand.Source, undo *Undo) bool {
 	j := a.FreeChannel(s, rng.Intn(a.Channels()))
 	if j == assign.Local {
 		if !n.evict {
 			return false
 		}
 		j = rng.Intn(a.Channels())
+	}
+	return n.evictInto(a, u, s, j, undo)
+}
+
+// evictInto moves u to slot (s, j), sending any other occupant local.
+func (n *neighborhood) evictInto(a *assign.Assignment, u, s, j int, undo *Undo) bool {
+	undo.note(a, u)
+	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
+		undo.note(a, occ)
 	}
 	_, err := a.Evict(u, s, j)
 	return err == nil

@@ -12,33 +12,31 @@ import (
 // decision. Every Algorithm 2 move touches at most three users (the target,
 // a swap partner, and a displaced occupant).
 type Undo struct {
-	entries [3]undoEntry
-	n       int
+	users [3]int
+	prior [3][2]int // each user's (server, channel) before the move
+	n     int
 }
 
-type undoEntry struct {
-	user    int
-	server  int
-	channel int
-}
+// Users returns the users the recorded move touched, in recording order.
+func (u *Undo) Users() []int { return u.users[:u.n] }
 
 // reset clears the record.
 func (u *Undo) reset() { u.n = 0 }
 
 // note records user's current slot in a, once per user per move.
 func (u *Undo) note(a *assign.Assignment, user int) {
-	for i := 0; i < u.n; i++ {
-		if u.entries[i].user == user {
+	for _, v := range u.Users() {
+		if v == user {
 			return // first recording wins: it holds the pre-move slot
 		}
 	}
-	if u.n == len(u.entries) {
+	if u.n == len(u.users) {
 		// Cannot happen for Algorithm 2 moves; guard loudly in case the
 		// move set grows without widening the record.
 		panic("core: undo record overflow")
 	}
 	s, j := a.SlotOf(user)
-	u.entries[u.n] = undoEntry{user: user, server: s, channel: j}
+	u.users[u.n], u.prior[u.n] = user, [2]int{s, j}
 	u.n++
 }
 
@@ -47,16 +45,14 @@ func (u *Undo) note(a *assign.Assignment, user int) {
 // only touched users moved since the record, so the recorded slots are
 // necessarily free.
 func (u *Undo) Revert(a *assign.Assignment) error {
-	for i := 0; i < u.n; i++ {
-		a.SetLocal(u.entries[i].user)
+	for _, user := range u.Users() {
+		a.SetLocal(user)
 	}
-	for i := 0; i < u.n; i++ {
-		e := u.entries[i]
-		if e.server == assign.Local {
-			continue
-		}
-		if err := a.Offload(e.user, e.server, e.channel); err != nil {
-			return fmt.Errorf("core: undo revert: %w", err)
+	for i, user := range u.Users() {
+		if p := u.prior[i]; p[0] != assign.Local {
+			if err := a.Offload(user, p[0], p[1]); err != nil {
+				return fmt.Errorf("core: undo revert: %w", err)
+			}
 		}
 	}
 	u.n = 0
@@ -68,102 +64,4 @@ func (u *Undo) Revert(a *assign.Assignment) error {
 // The random draw sequence is identical to Apply's.
 func (n *Neighborhood) ApplyUndo(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
 	return n.inner.applyUndo(a, rng, undo)
-}
-
-// applyUndo mirrors neighborhood.Apply but records prior slots first.
-func (n *neighborhood) applyUndo(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
-	undo.reset()
-	u := n.pickUser(a, rng)
-	switch n.pick(rng) {
-	case moveServer:
-		return n.relocateServerUndo(a, u, rng, undo)
-	case moveChannel:
-		if a.Channels() <= 1 || a.IsLocal(u) {
-			return n.relocateServerUndo(a, u, rng, undo)
-		}
-		return n.relocateChannelUndo(a, u, rng, undo)
-	case moveSwap:
-		return n.swapUndo(a, u, rng, undo)
-	default:
-		return n.toggleUndo(a, u, rng, undo)
-	}
-}
-
-func (n *neighborhood) relocateServerUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	cur, _ := a.SlotOf(u)
-	if a.Servers() == 1 && cur == 0 {
-		return false
-	}
-	s := rng.Intn(a.Servers())
-	for s == cur {
-		s = rng.Intn(a.Servers())
-	}
-	return n.placeUndo(a, u, s, rng, undo)
-}
-
-func (n *neighborhood) relocateChannelUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	s, cur := a.SlotOf(u)
-	j := a.FreeChannel(s, rng.Intn(a.Channels()))
-	if j == assign.Local || j == cur {
-		if !n.evict {
-			return false
-		}
-		j = rng.Intn(a.Channels())
-		for j == cur {
-			if a.Channels() == 1 {
-				return false
-			}
-			j = rng.Intn(a.Channels())
-		}
-	}
-	undo.note(a, u)
-	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
-		undo.note(a, occ)
-	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
-}
-
-func (n *neighborhood) swapUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	if a.Users() == 1 {
-		return false
-	}
-	v := rng.Intn(a.Users())
-	for v == u {
-		v = rng.Intn(a.Users())
-	}
-	su, _ := a.SlotOf(u)
-	sv, _ := a.SlotOf(v)
-	if su == assign.Local && sv == assign.Local {
-		return false
-	}
-	undo.note(a, u)
-	undo.note(a, v)
-	a.Swap(u, v)
-	return true
-}
-
-func (n *neighborhood) toggleUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	if !a.IsLocal(u) {
-		undo.note(a, u)
-		a.SetLocal(u)
-		return true
-	}
-	return n.placeUndo(a, u, rng.Intn(a.Servers()), rng, undo)
-}
-
-func (n *neighborhood) placeUndo(a *assign.Assignment, u, s int, rng *simrand.Source, undo *Undo) bool {
-	j := a.FreeChannel(s, rng.Intn(a.Channels()))
-	if j == assign.Local {
-		if !n.evict {
-			return false
-		}
-		j = rng.Intn(a.Channels())
-	}
-	undo.note(a, u)
-	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
-		undo.note(a, occ)
-	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
 }

@@ -61,7 +61,7 @@ func relClose(a, b, tol float64) bool {
 }
 
 // buildFlatTestScenario draws a randomized instance; numChannels > 64
-// exercises the wide-channel bitset path of Incremental.
+// exercises wide-channel scenarios.
 func buildFlatTestScenario(t testing.TB, seed uint64, users, servers, channels int) *scenario.Scenario {
 	t.Helper()
 	p := scenario.DefaultParams()
@@ -77,17 +77,17 @@ func buildFlatTestScenario(t testing.TB, seed uint64, users, servers, channels i
 	return sc
 }
 
-// TestFlatEvaluatorMatchesReference: the flat-tensor Evaluator, the
-// Incremental delta evaluator, and the pre-refactor reference formula
-// agree to 1e-9 over randomized scenarios and decisions, including
-// N > 64 subchannels.
+// TestFlatEvaluatorMatchesReference: the flat-tensor Evaluator and the
+// pre-refactor reference formula agree to 1e-9 over randomized scenarios
+// and decisions, including N > 64 subchannels, and the Incremental pricer
+// agrees with the Evaluator bit for bit.
 func TestFlatEvaluatorMatchesReference(t *testing.T) {
 	shapes := []struct {
 		users, servers, channels int
 	}{
 		{users: 12, servers: 4, channels: 3},
 		{users: 9, servers: 3, channels: 2},
-		{users: 24, servers: 3, channels: 70}, // wide-channel bitset path
+		{users: 24, servers: 3, channels: 70}, // wide-channel scenario
 	}
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -103,8 +103,8 @@ func TestFlatEvaluatorMatchesReference(t *testing.T) {
 			if got := e.SystemUtility(a); !relClose(got, want, 1e-9) {
 				t.Fatalf("shape %+v seed %d: flat evaluator %.15g, reference %.15g", shape, seed, got, want)
 			}
-			if got := inc.Utility(); !relClose(got, want, 1e-9) {
-				t.Fatalf("shape %+v seed %d: incremental %.15g, reference %.15g", shape, seed, got, want)
+			if got, full := inc.Utility(), e.SystemUtility(a); math.Float64bits(got) != math.Float64bits(full) {
+				t.Fatalf("shape %+v seed %d: incremental %.17g, flat evaluator %.17g", shape, seed, got, full)
 			}
 			// Walk a random move sequence, previewing and (sometimes)
 			// accepting; the incremental cache must track the reference.
@@ -114,14 +114,18 @@ func TestFlatEvaluatorMatchesReference(t *testing.T) {
 				mutateAssignment(t, cand, sc, rng)
 				preview := inc.Preview(cand)
 				want := referenceUtility(sc, cand)
-				if !relClose(preview, want, 1e-9) {
-					t.Fatalf("shape %+v seed %d step %d: preview %.15g, reference %.15g", shape, seed, step, preview, want)
+				full := e.SystemUtility(cand)
+				if math.Float64bits(preview) != math.Float64bits(full) {
+					t.Fatalf("shape %+v seed %d step %d: preview %.17g, flat evaluator %.17g", shape, seed, step, preview, full)
 				}
-				if full := e.SystemUtility(cand); !relClose(full, want, 1e-9) {
+				if !relClose(full, want, 1e-9) {
 					t.Fatalf("shape %+v seed %d step %d: flat evaluator %.15g, reference %.15g", shape, seed, step, full, want)
 				}
 				if rng.Float64() < 0.5 {
 					inc.Accept(cand)
+					if math.Float64bits(inc.Utility()) != math.Float64bits(full) {
+						t.Fatalf("shape %+v seed %d step %d: accepted %.17g, flat evaluator %.17g", shape, seed, step, inc.Utility(), full)
+					}
 					if err := committed.CopyFrom(cand); err != nil {
 						t.Fatal(err)
 					}
@@ -225,7 +229,7 @@ func TestSystemUtilityAllocFree(t *testing.T) {
 }
 
 // TestPreviewAcceptAllocFree guards the zero-allocation contract of the
-// incremental Preview/Accept path, including the N > 64 bitset branch.
+// incremental Preview/Accept path, including N > 64 subchannels.
 func TestPreviewAcceptAllocFree(t *testing.T) {
 	for _, channels := range []int{3, 70} {
 		sc := buildFlatTestScenario(t, 13, 20, 3, channels)
@@ -236,7 +240,7 @@ func TestPreviewAcceptAllocFree(t *testing.T) {
 		}
 		inc := NewIncremental(sc, cur)
 		cand := cur.Clone()
-		// Warm the pending pool across a few accepted moves.
+		// Warm up across a few accepted moves.
 		for i := 0; i < 8; i++ {
 			mutateAssignment(t, cand, sc, rng)
 			inc.Preview(cand)

@@ -100,8 +100,8 @@ func FuzzAssignmentUtility(f *testing.F) {
 		}
 
 		inc := NewIncremental(sc, a)
-		if diff := math.Abs(inc.Utility() - u); diff > 1e-9*math.Max(1, math.Abs(u)) {
-			t.Fatalf("incremental utility %v disagrees with flat %v", inc.Utility(), u)
+		if math.Float64bits(inc.Utility()) != math.Float64bits(u) {
+			t.Fatalf("incremental utility %.17g disagrees with flat %.17g", inc.Utility(), u)
 		}
 	})
 }

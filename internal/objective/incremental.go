@@ -1,271 +1,268 @@
 package objective
 
 import (
-	"math"
-	"math/bits"
-
 	"github.com/tsajs/tsajs/internal/assign"
 	"github.com/tsajs/tsajs/internal/scenario"
 )
 
-// Incremental evaluates single-move neighbours of a tracked decision in
-// time proportional to the *touched* subchannels rather than the whole
-// network. It caches, for the tracked decision:
+// Incremental prices neighbours of a tracked decision by re-pricing only
+// the subchannels and servers whose membership a move changed, and returns
+// exactly what Evaluator.SystemUtility returns for the same decision.
 //
-//   - the member list and communication cost Γ_j of every subchannel,
-//   - every server's Σ√η (hence Λ in O(1) updates),
-//   - the constant gain term of Eq. (24).
+// SystemUtility folds the gain and Γ terms over ascending subchannels,
+// then ascending users within a subchannel, and the Λ terms over ascending
+// servers, each server's Σ√η itself folded over its users in ascending
+// order. Incremental caches every term SystemUtility adds: each
+// subchannel's members in ascending user order with their Γ terms, and
+// each server's Λ term. A candidate rebuilds the terms of its dirty
+// subchannels and servers with the same kernels (commTerm, serverCost),
+// the untouched terms are the values SystemUtility would compute again,
+// and the final utility re-folds all cached terms in SystemUtility's
+// order. The summands and their order are the same, so the sums are the
+// same bit for bit; no drift can accumulate over a walk.
 //
-// A candidate differing in the slots of a few users (every Algorithm 2
-// move touches at most three) re-prices only the subchannels those users
-// left or joined — the expensive part of the objective, since each member
-// costs a log — while everything else comes from the cache.
-//
-// Usage: Preview(cand) returns the candidate's utility; Accept(cand)
-// commits the previewed candidate as the new tracked decision. Preview is
-// pure: rejecting a candidate requires no cleanup. The arithmetic is
-// identical to Evaluator.SystemUtility up to floating-point summation
-// order. All scratch (the per-server delta vector, the dirty-channel
-// bitset, and the pending member lists) is owned by the Incremental and
-// reused across calls, so steady-state Preview/Accept perform zero
-// allocations at any subchannel count.
+// Preview prices a candidate; Accept commits the previewed candidate.
+// Dropping a candidate needs no call: the next Preview discards it. All
+// state lives in the owning Evaluator's flat buffers, so steady-state
+// Preview and Accept perform zero allocations. An Incremental shares its
+// Evaluator's single-goroutine contract.
 type Incremental struct {
-	sc       *scenario.Scenario
-	txPowers []float64
+	e *Evaluator
 
-	// Flat scenario tables (shared, read-only; see scenario.Finalize).
-	recv      []float64
-	commW     []float64
-	gainConst []float64
-	sqrtEta   []float64
-	serverF   []float64
-	noiseW    float64
-	numCh     int
-	stride    int
+	// Region r holds S member slots: region j < N is subchannel j of the
+	// tracked decision, region N+j the last Preview's rebuild of it.
+	mem  []slot    // 2·N·S members, ascending user order per region
+	term []float64 // 2·N·S Γ terms, parallel to mem
+	cnt  []int     // 2·N member counts
+	lam  []float64 // 2·S Λ terms: tracked, then previewed
+	// The fold reads subchannel j from region j+view[j] and server s's Λ
+	// from lam[s+sview[s]]: offsets 0 for tracked terms, N and S for a
+	// dirty subchannel's or server's candidate terms.
+	view, sview []int
+	// slotOf[u] is the tracked decision's s·N+j for user u, or -1 if local.
+	slotOf []int
 
-	cur      *assign.Assignment // private copy of the tracked decision
-	members  [][]slot           // per channel
-	commCost []float64          // per channel: Γ_j
-	sumSqrt  []float64          // per server: Σ√η over its users
-	gain     float64            // Σ gainConst over offloaded users
-	utility  float64
+	dirtyCh, dirtySrv []int // the last Preview's dirty ids
+	changed           []int // scratch: users whose slots differ
+	users             []int // scratch: one server's users, ascending
 
-	deltaSum []float64 // per-server Σ√η delta scratch, zeroed each Preview
-	dirty    []uint64  // dirty-channel bitset scratch, ⌈N/64⌉ words
-
-	// pending holds Preview's results for Accept. members is a pool of
-	// reusable slot buffers indexed in lockstep with channels; Accept
-	// swaps them with the committed lists so neither side re-allocates.
-	pending struct {
-		valid    bool
-		utility  float64
-		gain     float64
-		channels []int     // dirty channel ids
-		members  [][]slot  // new member lists, parallel to channels
-		costs    []float64 // new Γ_j, parallel to channels
-		servers  []int     // dirty server ids
-		sums     []float64 // new Σ√η, parallel to servers
-	}
+	utility float64
+	pending float64 // the last Preview's utility
+	valid   bool    // whether pending belongs to an un-accepted Preview
 }
 
-// NewIncremental builds the cache for decision a (copied; the caller's
-// assignment is not retained).
+// NewIncremental returns a pricer tracking decision a (copied; the
+// caller's assignment is not retained) on a fresh Evaluator.
 func NewIncremental(sc *scenario.Scenario, a *assign.Assignment) *Incremental {
-	inc := &Incremental{
-		sc:        sc,
-		txPowers:  sc.TxPowers(),
-		recv:      sc.RecvPower(),
-		commW:     sc.CommWeights(),
-		gainConst: sc.GainConsts(),
-		sqrtEta:   sc.SqrtEtas(),
-		serverF:   sc.ServerFreqs(),
-		noiseW:    sc.NoiseW,
-		numCh:     sc.N(),
-		stride:    sc.S() * sc.N(),
-		cur:       a.Clone(),
-		members:   make([][]slot, sc.N()),
-		commCost:  make([]float64, sc.N()),
-		sumSqrt:   make([]float64, sc.S()),
-		deltaSum:  make([]float64, sc.S()),
-		dirty:     make([]uint64, (sc.N()+63)/64),
-	}
-	for u := 0; u < sc.U(); u++ {
-		if s, j := a.SlotOf(u); s != assign.Local {
-			inc.members[j] = append(inc.members[j], slot{u: u, s: s})
-			inc.sumSqrt[s] += inc.sqrtEta[u]
-			inc.gain += inc.gainConst[u]
+	return New(sc).Track(a)
+}
+
+// Track makes a the tracked decision of e's incremental pricer and returns
+// the pricer; a is read, not retained. The pricer is reset on every call,
+// and it is independent of SystemUtility, Evaluate and the other Evaluator
+// methods, which may be called between its own calls.
+func (e *Evaluator) Track(a *assign.Assignment) *Incremental {
+	e.inc.reset(a)
+	return &e.inc
+}
+
+// reset rebuilds every cached term from decision a.
+func (inc *Incremental) reset(a *assign.Assignment) {
+	e := inc.e
+	e.groupByChannel(a)
+	S := len(e.serverF)
+	for j, group := range e.byChannel {
+		copy(inc.mem[j*S:], group)
+		inc.cnt[j] = len(group)
+		for k, g := range group {
+			inc.term[j*S+k] = e.commTerm(g, j, group)
 		}
 	}
-	for j := range inc.members {
-		inc.commCost[j] = inc.channelCost(j, inc.members[j])
+	for s, sum := range e.sums {
+		inc.lam[s] = e.serverCost(s, sum)
 	}
-	inc.utility = inc.gain - inc.totalComm() - inc.totalLambda()
-	return inc
+	for u := range inc.slotOf {
+		inc.slotOf[u] = inc.slotIn(a, u)
+	}
+	inc.drop()
+	inc.utility = inc.fold()
 }
 
 // Utility returns the tracked decision's system utility.
 func (inc *Incremental) Utility() float64 { return inc.utility }
 
-// Preview returns the system utility of cand, which must differ from the
-// tracked decision only in the slots of a bounded set of users (any
-// sequence of Algorithm 2 moves applied to a copy of the tracked decision
-// qualifies). The tracked decision is unchanged.
-func (inc *Incremental) Preview(cand *assign.Assignment) float64 {
-	p := &inc.pending
-	p.valid = false
-	p.channels = p.channels[:0]
-	p.costs = p.costs[:0]
-	p.servers = p.servers[:0]
-	p.sums = p.sums[:0]
-	p.gain = inc.gain
-
-	// Diff the decisions user by user (O(U), two array reads each). Dirty
-	// channels land in the reusable bitset regardless of N — no map
-	// fallback for wide-channel scenarios.
-	for i := range inc.dirty {
-		inc.dirty[i] = 0
-	}
-	for i := range inc.deltaSum {
-		inc.deltaSum[i] = 0
-	}
-	changed := false
-	for u := 0; u < inc.sc.U(); u++ {
-		oldS, oldJ := inc.cur.SlotOf(u)
-		newS, newJ := cand.SlotOf(u)
-		if oldS == newS && oldJ == newJ {
-			continue
-		}
-		changed = true
-		if oldS != assign.Local {
-			inc.dirty[uint(oldJ)>>6] |= 1 << (uint(oldJ) & 63)
-			inc.deltaSum[oldS] -= inc.sqrtEta[u]
-			p.gain -= inc.gainConst[u]
-		}
-		if newS != assign.Local {
-			inc.dirty[uint(newJ)>>6] |= 1 << (uint(newJ) & 63)
-			inc.deltaSum[newS] += inc.sqrtEta[u]
-			p.gain += inc.gainConst[u]
-		}
-	}
-	if !changed {
-		p.valid = true
-		p.utility = inc.utility
-		return inc.utility
-	}
-
-	// Re-price dirty channels from the candidate's membership, in
-	// ascending channel order.
-	comm := inc.totalComm()
-	for w, word := range inc.dirty {
-		for word != 0 {
-			j := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			n := len(p.channels)
-			p.channels = append(p.channels, j)
-			if n == len(p.members) {
-				p.members = append(p.members, nil)
+// Preview returns the system utility of cand. cand must differ from the
+// tracked decision only in the slots of the moved users, given without
+// repeats (a walk's undo record lists them); with no moved users given,
+// every user is compared against the tracked decision. The tracked
+// decision is unchanged.
+func (inc *Incremental) Preview(cand *assign.Assignment, moved ...int) float64 {
+	inc.drop()
+	if len(moved) == 0 {
+		moved = inc.changed[:0]
+		for u, at := range inc.slotOf {
+			if inc.slotIn(cand, u) != at {
+				moved = append(moved, u)
 			}
-			newMembers := inc.rebuildChannel(cand, j, p.members[n][:0])
-			p.members[n] = newMembers
-			cost := inc.channelCost(j, newMembers)
-			comm += cost - inc.commCost[j]
-			p.costs = append(p.costs, cost)
 		}
 	}
-
-	// Update Λ for dirty servers in O(dirty).
-	lambda := inc.totalLambda()
-	for s, ds := range inc.deltaSum {
-		if ds == 0 {
-			continue
-		}
-		oldSum := inc.sumSqrt[s]
-		newSum := oldSum + ds
-		if newSum < 0 {
-			newSum = 0 // guard accumulated rounding on an emptied server
-		}
-		lambda += (newSum*newSum - oldSum*oldSum) / inc.serverF[s]
-		p.servers = append(p.servers, s)
-		p.sums = append(p.sums, newSum)
+	for _, u := range moved {
+		inc.mark(cand, u)
 	}
-
-	p.valid = true
-	p.utility = p.gain - comm - lambda
-	return p.utility
+	e := inc.e
+	N, S := e.numCh, len(e.serverF)
+	for _, j := range inc.dirtyCh {
+		// Subchannel j's candidate members are its tracked members still
+		// on j, in order, plus the moved users that joined it, inserted in
+		// user order. A member's term depends only on its server and the
+		// co-channel user set, so when nobody left or joined, members that
+		// kept their server keep their terms.
+		r := N + j
+		lo, n, same := r*S, 0, true
+		for _, g := range inc.mem[j*S : j*S+inc.cnt[j]] {
+			if s, jj := cand.SlotOf(g.u); jj == j {
+				inc.mem[lo+n] = slot{u: g.u, s: s}
+				n++
+			} else {
+				same = false
+			}
+		}
+		for _, u := range moved {
+			s, jj := cand.SlotOf(u)
+			if from := inc.slotOf[u]; jj != j || from >= 0 && from%N == j {
+				continue
+			}
+			same = false
+			k := lo + n
+			for ; k > lo && inc.mem[k-1].u > u; k-- {
+				inc.mem[k] = inc.mem[k-1]
+			}
+			inc.mem[k] = slot{u: u, s: s}
+			n++
+		}
+		inc.cnt[r] = n
+		group := inc.mem[lo : lo+n]
+		for k, g := range group {
+			if same && g.s == inc.mem[j*S+k].s {
+				inc.term[lo+k] = inc.term[j*S+k]
+			} else {
+				inc.term[lo+k] = e.commTerm(g, j, group)
+			}
+		}
+	}
+	for _, s := range inc.dirtySrv {
+		us := inc.users[:0]
+		for j := 0; j < N; j++ {
+			if u := cand.Occupant(s, j); u != assign.Local {
+				us = append(us, u)
+				for k := len(us) - 1; k > 0 && us[k-1] > u; k-- {
+					us[k], us[k-1] = us[k-1], u
+				}
+			}
+		}
+		sum := 0.0
+		for _, u := range us {
+			sum += e.sqrtEta[u]
+		}
+		inc.lam[S+s] = e.serverCost(s, sum)
+	}
+	inc.pending = inc.fold()
+	inc.valid = true
+	return inc.pending
 }
 
 // Accept commits the most recently previewed candidate as the tracked
-// decision. cand must be the assignment passed to that Preview call.
+// decision. cand must be the assignment passed to that Preview, unchanged
+// since; without a pending Preview the pricer rebuilds from cand.
 func (inc *Incremental) Accept(cand *assign.Assignment) {
-	p := &inc.pending
-	if !p.valid {
-		// No valid preview: rebuild from scratch (correct, just slower).
-		*inc = *NewIncremental(inc.sc, cand)
+	if !inc.valid {
+		inc.reset(cand)
 		return
 	}
-	for i, j := range p.channels {
-		// Swap rather than assign: the pending pool keeps the displaced
-		// buffer for reuse, and the committed list never aliases scratch
-		// that the next Preview would overwrite.
-		inc.members[j], p.members[i] = p.members[i], inc.members[j]
-		inc.commCost[j] = p.costs[i]
-	}
-	for i, s := range p.servers {
-		inc.sumSqrt[s] = p.sums[i]
-	}
-	inc.gain = p.gain
-	inc.utility = p.utility
-	if err := inc.cur.CopyFrom(cand); err != nil {
-		// Dimension mismatch means API misuse; rebuild defensively.
-		*inc = *NewIncremental(inc.sc, cand)
-	}
-	p.valid = false
-}
-
-// rebuildChannel lists channel j's members under cand into buf (reused
-// caller scratch; may be nil on first use of a pool entry).
-func (inc *Incremental) rebuildChannel(cand *assign.Assignment, j int, buf []slot) []slot {
-	for s := 0; s < cand.Servers(); s++ {
-		if u := cand.Occupant(s, j); u != assign.Local {
-			buf = append(buf, slot{u: u, s: s})
+	N, S := inc.e.numCh, len(inc.e.serverF)
+	// Users leaving a dirty subchannel either join another dirty one or
+	// go local: clear them all, then record the rebuilt memberships.
+	for _, j := range inc.dirtyCh {
+		for _, g := range inc.mem[j*S : j*S+inc.cnt[j]] {
+			inc.slotOf[g.u] = -1
 		}
 	}
-	return buf
-}
-
-// channelCost prices subchannel j: Σ (φ_u + ψ_u p_u)/log2(1+γ_us) over
-// its members, with γ per Eq. (3).
-func (inc *Incremental) channelCost(j int, group []slot) float64 {
-	cost := 0.0
-	for _, g := range group {
-		sBase := g.s*inc.numCh + j
-		interference := 0.0
-		for _, o := range group {
-			if o.u == g.u || o.s == g.s {
-				continue
-			}
-			interference += inc.recv[o.u*inc.stride+sBase]
-		}
-		sinr := inc.recv[g.u*inc.stride+sBase] / (interference + inc.noiseW)
-		cost += inc.commW[g.u] / (math.Log1p(sinr) * invLn2)
-	}
-	return cost
-}
-
-func (inc *Incremental) totalComm() float64 {
-	total := 0.0
-	for _, c := range inc.commCost {
-		total += c
-	}
-	return total
-}
-
-func (inc *Incremental) totalLambda() float64 {
-	total := 0.0
-	for s, sum := range inc.sumSqrt {
-		if sum > 0 {
-			total += sum * sum / inc.serverF[s]
+	for _, j := range inc.dirtyCh {
+		lo, from, n := j*S, (N+j)*S, inc.cnt[N+j]
+		copy(inc.mem[lo:lo+n], inc.mem[from:from+n])
+		copy(inc.term[lo:lo+n], inc.term[from:from+n])
+		inc.cnt[j] = n
+		for _, g := range inc.mem[lo : lo+n] {
+			inc.slotOf[g.u] = g.s*N + j
 		}
 	}
-	return total
+	for _, s := range inc.dirtySrv {
+		inc.lam[s] = inc.lam[S+s]
+	}
+	inc.utility = inc.pending
+	inc.drop()
+}
+
+// mark flags the subchannels and servers user u leaves and joins in cand.
+func (inc *Incremental) mark(cand *assign.Assignment, u int) {
+	N := inc.e.numCh
+	from, to := inc.slotOf[u], inc.slotIn(cand, u)
+	if from == to {
+		return
+	}
+	if from >= 0 {
+		inc.dirty(from/N, from%N)
+	}
+	if to >= 0 {
+		inc.dirty(to/N, to%N)
+	}
+}
+
+// slotIn returns user u's slot s·N+j in a, or -1 if u is local.
+func (inc *Incremental) slotIn(a *assign.Assignment, u int) int {
+	if s, j := a.SlotOf(u); s != assign.Local {
+		return s*inc.e.numCh + j
+	}
+	return -1
+}
+
+func (inc *Incremental) dirty(s, j int) {
+	if inc.view[j] == 0 {
+		inc.view[j] = len(inc.view)
+		inc.dirtyCh = append(inc.dirtyCh, j)
+	}
+	if inc.sview[s] == 0 {
+		inc.sview[s] = len(inc.sview)
+		inc.dirtySrv = append(inc.dirtySrv, s)
+	}
+}
+
+// drop discards the last Preview: the fold reads the tracked terms again.
+func (inc *Incremental) drop() {
+	for _, j := range inc.dirtyCh {
+		inc.view[j] = 0
+	}
+	for _, s := range inc.dirtySrv {
+		inc.sview[s] = 0
+	}
+	inc.dirtyCh, inc.dirtySrv = inc.dirtyCh[:0], inc.dirtySrv[:0]
+	inc.valid = false
+}
+
+// fold sums the viewed terms in SystemUtility's order.
+func (inc *Incremental) fold() float64 {
+	S := len(inc.e.serverF)
+	gain, comm := 0.0, 0.0
+	for j, off := range inc.view {
+		r := j + off
+		for k, g := range inc.mem[r*S : r*S+inc.cnt[r]] {
+			gain += inc.e.gainConst[g.u]
+			comm += inc.term[r*S+k]
+		}
+	}
+	lambda := 0.0
+	for s, off := range inc.sview {
+		lambda += inc.lam[s+off]
+	}
+	return gain - comm - lambda
 }

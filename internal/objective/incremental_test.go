@@ -61,14 +61,14 @@ func TestIncrementalMatchesFullOnBuild(t *testing.T) {
 	}
 	full := New(sc).SystemUtility(a)
 	inc := NewIncremental(sc, a)
-	if math.Abs(inc.Utility()-full) > 1e-9*(1+math.Abs(full)) {
-		t.Errorf("initial build: incremental %.12f vs full %.12f", inc.Utility(), full)
+	if math.Float64bits(inc.Utility()) != math.Float64bits(full) {
+		t.Errorf("initial build: incremental %.17g vs full %.17g", inc.Utility(), full)
 	}
 }
 
 // TestIncrementalEquivalenceProperty is the core oracle: across long
 // random sequences of previewed/accepted/rejected moves, the incremental
-// utility must track the full recomputation.
+// utility must equal the full recomputation bit for bit.
 func TestIncrementalEquivalenceProperty(t *testing.T) {
 	sc := incScenario(t, 10, 3, 2, 7)
 	e := New(sc)
@@ -87,15 +87,15 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 			applyRandomMove(cand, rng)
 			got := inc.Preview(cand)
 			want := e.SystemUtility(cand)
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Logf("seed %d step %d: preview %.12f, full %.12f", seed, step, got, want)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d step %d: preview %.17g, full %.17g", seed, step, got, want)
 				return false
 			}
 			if rng.Float64() < 0.5 { // accept half the moves
 				inc.Accept(cand)
 				cur, cand = cand, cur
-				if math.Abs(inc.Utility()-want) > 1e-9*(1+math.Abs(want)) {
-					t.Logf("seed %d step %d: committed %.12f, full %.12f", seed, step, inc.Utility(), want)
+				if math.Float64bits(inc.Utility()) != math.Float64bits(want) {
+					t.Logf("seed %d step %d: committed %.17g, full %.17g", seed, step, inc.Utility(), want)
 					return false
 				}
 			}
@@ -108,7 +108,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 }
 
 func TestIncrementalManyChannels(t *testing.T) {
-	// Exercise the N > 64 map fallback for dirty-channel tracking.
+	// More than 64 subchannels.
 	sc := incScenario(t, 20, 2, 70, 9)
 	e := New(sc)
 	rng := simrand.New(3)
@@ -125,8 +125,8 @@ func TestIncrementalManyChannels(t *testing.T) {
 		applyRandomMove(cand, rng)
 		got := inc.Preview(cand)
 		want := e.SystemUtility(cand)
-		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("step %d: preview %.12f, full %.12f", step, got, want)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: preview %.17g, full %.17g", step, got, want)
 		}
 		inc.Accept(cand)
 		cur, cand = cand, cur
@@ -150,7 +150,7 @@ func TestIncrementalIdenticalCandidate(t *testing.T) {
 }
 
 func TestIncrementalAcceptWithoutPreview(t *testing.T) {
-	// Accept without a valid preview must fall back to a full rebuild.
+	// Accept without a pending preview must fall back to a full rebuild.
 	sc := incScenario(t, 8, 3, 2, 13)
 	a, err := assign.New(sc.U(), sc.S(), sc.N())
 	if err != nil {
@@ -163,8 +163,8 @@ func TestIncrementalAcceptWithoutPreview(t *testing.T) {
 	}
 	inc.Accept(b) // no preview happened
 	want := New(sc).SystemUtility(b)
-	if math.Abs(inc.Utility()-want) > 1e-9*(1+math.Abs(want)) {
-		t.Errorf("rebuild fallback: %.12f vs %.12f", inc.Utility(), want)
+	if math.Float64bits(inc.Utility()) != math.Float64bits(want) {
+		t.Errorf("rebuild fallback: %.17g vs %.17g", inc.Utility(), want)
 	}
 }
 

@@ -87,7 +87,8 @@ func relabelServers(t *testing.T, sc *scenario.Scenario, a *assign.Assignment, p
 // TestServerRelabelInvariance: a permutation of server indices applied
 // consistently to the scenario and the decision is pure bookkeeping — the
 // physical system is unchanged, so SystemUtility must not move (beyond
-// float summation-order noise) under either evaluator.
+// float summation-order noise), and the incremental pricer must match it
+// bit for bit under every labelling.
 func TestServerRelabelInvariance(t *testing.T) {
 	perms := [][]int{
 		{3, 0, 2, 1},
@@ -101,15 +102,18 @@ func TestServerRelabelInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := objective.New(sc).SystemUtility(a)
-		baseInc := objective.NewIncremental(sc, a).Utility()
+		if got := objective.NewIncremental(sc, a).Utility(); math.Float64bits(got) != math.Float64bits(base) {
+			t.Errorf("seed %d: incremental utility %.17g != flat %.17g", seed, got, base)
+		}
 		for _, perm := range perms {
 			sc2, a2 := relabelServers(t, sc, a, perm)
 			tol := 1e-9 * math.Max(1, math.Abs(base))
-			if got := objective.New(sc2).SystemUtility(a2); math.Abs(got-base) > tol {
+			got := objective.New(sc2).SystemUtility(a2)
+			if math.Abs(got-base) > tol {
 				t.Errorf("seed %d perm %v: flat utility %v != %v", seed, perm, got, base)
 			}
-			if got := objective.NewIncremental(sc2, a2).Utility(); math.Abs(got-baseInc) > tol {
-				t.Errorf("seed %d perm %v: incremental utility %v != %v", seed, perm, got, baseInc)
+			if inc := objective.NewIncremental(sc2, a2).Utility(); math.Float64bits(inc) != math.Float64bits(got) {
+				t.Errorf("seed %d perm %v: incremental utility %.17g != flat %.17g", seed, perm, inc, got)
 			}
 		}
 	}
@@ -168,8 +172,8 @@ func TestDataScalingNeverImprovesUtility(t *testing.T) {
 			if fixed > fixedPrev+tol {
 				t.Errorf("seed %d c=%g: fixed-decision utility rose %v -> %v", seed, c, fixedPrev, fixed)
 			}
-			if inc := objective.NewIncremental(scaled, a).Utility(); math.Abs(inc-fixed) > tol {
-				t.Errorf("seed %d c=%g: incremental %v disagrees with flat %v", seed, c, inc, fixed)
+			if inc := objective.NewIncremental(scaled, a).Utility(); math.Float64bits(inc) != math.Float64bits(fixed) {
+				t.Errorf("seed %d c=%g: incremental %.17g disagrees with flat %.17g", seed, c, inc, fixed)
 			}
 
 			res, err := exhaustive.Schedule(scaled, simrand.New(1))

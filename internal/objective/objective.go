@@ -27,8 +27,7 @@ const invLn2 = 1 / math.Ln2
 // buffers, so a single Evaluator must not be used from multiple goroutines
 // concurrently; create one per goroutine (New is cheap).
 type Evaluator struct {
-	sc       *scenario.Scenario
-	txPowers []float64
+	sc *scenario.Scenario
 
 	// Flat scenario tables (shared, read-only; see scenario.Finalize).
 	recv      []float64 // p_u·G_us^j at (u·S+s)·N+j
@@ -41,37 +40,67 @@ type Evaluator struct {
 	stride    int // S·N, the per-user stride into recv
 
 	// byChannel[j] lists the (user, server) pairs transmitting on
-	// subchannel j; rebuilt on every evaluation.
+	// subchannel j in ascending user order; rebuilt on every evaluation.
+	// The lists are S-wide windows of one flat buffer: constraint (12d)
+	// admits at most one user per (server, channel) slot.
 	byChannel [][]slot
 	// sums[s] accumulates Σ√η per server during grouping, giving Λ
 	// without a second pass over the users.
 	sums []float64
+
+	// inc is the tracked-decision pricer handed out by Track.
+	inc Incremental
 }
 
 type slot struct{ u, s int }
 
-// New returns an evaluator for sc. The scenario must be finalized.
+// New returns an evaluator for sc. The scenario must be finalized. All
+// scratch, including the incremental pricer's, lives in one buffer per
+// element type, so New makes five allocations at any scenario size.
 func New(sc *scenario.Scenario) *Evaluator {
+	U, S, N := sc.U(), sc.S(), sc.N()
 	e := &Evaluator{
 		sc:        sc,
-		txPowers:  sc.TxPowers(),
 		recv:      sc.RecvPower(),
 		commW:     sc.CommWeights(),
 		gainConst: sc.GainConsts(),
 		sqrtEta:   sc.SqrtEtas(),
 		serverF:   sc.ServerFreqs(),
 		noiseW:    sc.NoiseW,
-		numCh:     sc.N(),
-		stride:    sc.S() * sc.N(),
-		byChannel: make([][]slot, sc.N()),
-		sums:      make([]float64, sc.S()),
+		numCh:     N,
+		stride:    S * N,
+		byChannel: make([][]slot, N),
 	}
+	slots := make([]slot, 3*N*S)
+	floats := make([]float64, 2*N*S+3*S)
+	ints := make([]int, 5*N+2*S+2*U)
 	for j := range e.byChannel {
-		// Constraint (12d) admits at most one user per (server, channel)
-		// slot, so a channel never holds more than S members.
-		e.byChannel[j] = make([]slot, 0, sc.S())
+		e.byChannel[j] = carve(&slots, S)[:0]
+	}
+	e.sums = carve(&floats, S)
+	e.inc = Incremental{
+		e:        e,
+		mem:      carve(&slots, 2*N*S),
+		term:     carve(&floats, 2*N*S),
+		lam:      carve(&floats, 2*S),
+		cnt:      carve(&ints, 2*N),
+		view:     carve(&ints, N),
+		sview:    carve(&ints, S),
+		slotOf:   carve(&ints, U),
+		dirtyCh:  carve(&ints, N)[:0],
+		dirtySrv: carve(&ints, S)[:0],
+		changed:  carve(&ints, U)[:0],
+		users:    carve(&ints, N)[:0],
 	}
 	return e
+}
+
+// carve cuts the next n elements off *buf with capacity n, so appends to
+// the result can never spill into the next window.
+func carve[T any](buf *[]T, n int) []T {
+	w := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return w
 }
 
 // Scenario returns the scenario this evaluator is bound to.
@@ -87,9 +116,7 @@ func (e *Evaluator) SystemUtility(a *assign.Assignment) float64 {
 	gain, gamma := e.gainAndComm(a)
 	lambda := 0.0
 	for s, sum := range e.sums {
-		if sum > 0 {
-			lambda += sum * sum / e.serverF[s]
-		}
+		lambda += e.serverCost(s, sum)
 	}
 	return gain - gamma - lambda
 }
@@ -109,11 +136,26 @@ func (e *Evaluator) gainAndComm(a *assign.Assignment) (gain, comm float64) {
 	for j, group := range e.byChannel {
 		for _, g := range group {
 			gain += e.gainConst[g.u]
-			sinr := e.sinrInGroup(g, j, group)
-			comm += e.commW[g.u] / (math.Log1p(sinr) * invLn2)
+			comm += e.commTerm(g, j, group)
 		}
 	}
 	return gain, comm
+}
+
+// commTerm is member g's share (φ_u + ψ_u·p_u)/log2(1+γ_us) of Γ(X),
+// given the co-channel group on subchannel j.
+func (e *Evaluator) commTerm(g slot, j int, group []slot) float64 {
+	return e.commW[g.u] / (math.Log1p(e.sinrInGroup(g, j, group)) * invLn2)
+}
+
+// serverCost is server s's Λ term (Σ√η)²/F_s for the sum of its users'
+// √η, or 0 for an idle server. Adding the 0 leaves a non-negative
+// running total bit-identical, so folds need not skip idle servers.
+func (e *Evaluator) serverCost(s int, sum float64) float64 {
+	if sum > 0 {
+		return sum * sum / e.serverF[s]
+	}
+	return 0
 }
 
 // SINR returns γ_us for user u on its assigned slot under decision a, or 0

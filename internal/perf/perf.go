@@ -8,8 +8,9 @@
 //     and extracts one Record per benchmark line — ns/op, B/op, allocs/op,
 //     and any custom metrics reported with b.ReportMetric (e.g. the solver
 //     benchmarks' "utility").
-//  2. Record: the records plus environment metadata are wrapped in a Report
-//     and serialized as JSON (the committed BENCH_<date>.json baselines).
+//  2. Record: the records plus environment metadata (CPU, CPU count,
+//     GOMAXPROCS, Go version, commit) are wrapped in a Report and
+//     serialized as JSON (the committed BENCH_<date>.json baselines).
 //  3. Compare: Compare diffs a current report against a baseline and flags
 //     regressions — time beyond a relative threshold, any growth in
 //     allocations (which are deterministic in these kernels), and drops in
@@ -21,6 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,9 +55,52 @@ type Report struct {
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
-	// Notes is free-form context ("pre-flattening baseline", commit, ...).
+	// NumCPU, GOMAXPROCS, GoVersion and Commit describe the recording
+	// process (see RecordEnvironment); reports recorded before these
+	// fields existed leave them zero. Compare ignores them.
+	NumCPU     int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"goVersion,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+	// Notes is free-form context ("pre-flattening baseline", ...).
 	Notes   string   `json:"notes,omitempty"`
 	Records []Record `json:"records"`
+}
+
+// RecordEnvironment fills the environment fields from the running
+// process: its CPU count, GOMAXPROCS, Go version, and the VCS revision
+// the binary was built from, or "unknown" when it carries none (for
+// example under go run without VCS stamping).
+func (rep *Report) RecordEnvironment() {
+	rep.NumCPU = runtime.NumCPU()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep.GoVersion = runtime.Version()
+	info, _ := debug.ReadBuildInfo()
+	rep.Commit = commitOf(info)
+}
+
+// commitOf returns the vcs.revision build setting of info, with a
+// "+dirty" suffix for a modified tree, or "unknown".
+func commitOf(info *debug.BuildInfo) string {
+	if info == nil {
+		return "unknown"
+	}
+	rev, dirty := "", false
+	for _, kv := range info.Settings {
+		switch kv.Key {
+		case "vcs.revision":
+			rev = kv.Value
+		case "vcs.modified":
+			dirty = kv.Value == "true"
+		}
+	}
+	switch {
+	case rev == "":
+		return "unknown"
+	case dirty:
+		return rev + "+dirty"
+	}
+	return rev
 }
 
 // ParseBench reads `go test -bench` text output and returns a report with

@@ -3,6 +3,8 @@ package perf
 import (
 	"bytes"
 	"math"
+	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -152,5 +154,77 @@ func TestRegressionString(t *testing.T) {
 	r := Regression{Name: "BenchmarkA", Kind: "time", Baseline: 100, Current: 140, Delta: 0.4}
 	if got := r.String(); !strings.Contains(got, "BenchmarkA") || !strings.Contains(got, "+40.0%") {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+func TestRecordEnvironment(t *testing.T) {
+	var rep Report
+	rep.RecordEnvironment()
+	if rep.NumCPU < 1 || rep.GOMAXPROCS < 1 || !strings.HasPrefix(rep.GoVersion, "go") || rep.Commit == "" {
+		t.Errorf("environment = nproc %d, GOMAXPROCS %d, Go %q, commit %q",
+			rep.NumCPU, rep.GOMAXPROCS, rep.GoVersion, rep.Commit)
+	}
+	var buf bytes.Buffer
+	if err := rep.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"nproc"`, `"gomaxprocs"`, `"goVersion"`, `"commit"`} {
+		if !strings.Contains(buf.String(), key) {
+			t.Errorf("encoded report lacks %s: %s", key, buf.String())
+		}
+	}
+	back, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumCPU != rep.NumCPU || back.GOMAXPROCS != rep.GOMAXPROCS ||
+		back.GoVersion != rep.GoVersion || back.Commit != rep.Commit {
+		t.Errorf("round trip = %+v, want %+v", back, rep)
+	}
+}
+
+func TestCommitOf(t *testing.T) {
+	setting := func(kv ...string) *debug.BuildInfo {
+		info := &debug.BuildInfo{}
+		for i := 0; i < len(kv); i += 2 {
+			info.Settings = append(info.Settings, debug.BuildSetting{Key: kv[i], Value: kv[i+1]})
+		}
+		return info
+	}
+	for _, tc := range []struct {
+		info *debug.BuildInfo
+		want string
+	}{
+		{nil, "unknown"},
+		{setting("GOOS", "linux"), "unknown"},
+		{setting("vcs.revision", "b8f698f", "vcs.modified", "false"), "b8f698f"},
+		{setting("vcs.revision", "b8f698f", "vcs.modified", "true"), "b8f698f+dirty"},
+	} {
+		if got := commitOf(tc.info); got != tc.want {
+			t.Errorf("commitOf(%+v) = %q, want %q", tc.info, got, tc.want)
+		}
+	}
+}
+
+// TestCommittedBaselineLoads: the quick-gate baseline predates the
+// environment fields; it must still decode, with the fields zero, and an
+// environment difference alone must never read as a regression.
+func TestCommittedBaselineLoads(t *testing.T) {
+	f, err := os.Open("../../results/bench/BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Records) == 0 || base.NumCPU != 0 || base.Commit != "" {
+		t.Fatalf("baseline = %d records, nproc %d, commit %q", len(base.Records), base.NumCPU, base.Commit)
+	}
+	cur := base
+	cur.RecordEnvironment()
+	if regs := Compare(base, cur, DefaultThresholds()); len(regs) != 0 {
+		t.Errorf("environment fields produced regressions: %v", regs)
 	}
 }

@@ -90,17 +90,22 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialIncrementalEvaluator repeats the equivalence check with
-// the delta evaluator enabled, covering the second hot-path configuration.
+// TestDifferentialIncrementalEvaluator: every chain prices candidates
+// incrementally, so the portfolio's utility must equal, bit for bit, both
+// a full evaluation of its decision and the utility of the sequential
+// solve of the winning chain's stream, for every worker count.
 func TestDifferentialIncrementalEvaluator(t *testing.T) {
 	cfg := testConfig()
-	cfg.Incremental = true
+	ttsa, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const chains = 3
 	seeds := []uint64{101, 102, 103}
 	for _, seed := range seeds {
 		sc := testScenario(t, seed)
-		var prev solver.Result
-		for i, workers := range []int{1, 8} {
+		eval := objective.New(sc)
+		for _, workers := range []int{1, 8} {
 			pf, err := New(cfg, solver.PortfolioOptions{Chains: chains, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -109,12 +114,22 @@ func TestDifferentialIncrementalEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i > 0 {
-				if !res.Assignment.Equal(prev.Assignment) || res.Utility != prev.Utility {
-					t.Errorf("seed %d: incremental portfolio not schedule-independent", seed)
+			if full := eval.SystemUtility(res.Assignment); math.Float64bits(full) != math.Float64bits(res.Utility) {
+				t.Errorf("seed %d workers %d: utility %.17g, full evaluation %.17g", seed, workers, res.Utility, full)
+			}
+			matched := false
+			for i := 0; i < chains; i++ {
+				ref, err := ttsa.Schedule(sc, ChainStream(simrand.New(seed), i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref.Assignment.Equal(res.Assignment) && math.Float64bits(ref.Utility) == math.Float64bits(res.Utility) {
+					matched = true
 				}
 			}
-			prev = res
+			if !matched {
+				t.Errorf("seed %d workers %d: no sequential chain reproduces the portfolio result bit for bit", seed, workers)
+			}
 		}
 	}
 }
